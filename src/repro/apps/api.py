@@ -35,12 +35,6 @@ from ..tracegen.vdt import TargetABI, VarDescriptor
 __all__ = ["NodeContext", "ThreadedApplication"]
 
 
-def _caller_site(depth: int = 2):
-    """Static code site (filename, lineno) of the annotation call."""
-    frame = sys._getframe(depth)
-    return (frame.f_code.co_filename, frame.f_lineno)
-
-
 class NodeContext:
     """The annotation library bound to one node's trace thread.
 
@@ -48,6 +42,17 @@ class NodeContext:
     the VDT and virtual PC); communication annotations are *global
     events*: they suspend the thread until the simulator has completed
     the operation in simulated time.
+
+    Each computational annotation names its static code site, the
+    ``(co_filename, line)`` of the call, which the translator maps to a
+    fixed instruction address.  Reading ``frame.f_lineno`` scans the
+    code object's line table from its start, so it costs time linear in
+    the call's offset into the caller.  Instead, the context keeps a
+    site table keyed by the caller's code identity and instruction
+    offset, ``(id(f_code), f_lasti)``, which determine the line; the
+    line is read once per call site per run, on the first miss.  Every
+    code object seen is pinned for the life of the context, so its
+    ``id()`` cannot be reused by another code object mid-run.
     """
 
     def __init__(self, thread: NodeThread, n_nodes: int,
@@ -55,7 +60,17 @@ class NodeContext:
         self._thread = thread
         self.node_id = thread.node_id
         self.n_nodes = n_nodes
-        self.translator = AnnotationTranslator(thread.emit, abi)
+        self.translator = AnnotationTranslator(thread.buffer.append, abi)
+        self._sites: dict[tuple[int, int], tuple[str, int]] = {}
+        self._pinned_code: list = []
+
+    def _resolve(self, frame) -> tuple[str, int]:
+        """Site-table miss: the site of ``frame``'s current call."""
+        code = frame.f_code
+        site = (code.co_filename, frame.f_lineno)
+        self._pinned_code.append(code)
+        self._sites[(id(code), frame.f_lasti)] = site
+        return site
 
     # -- variable declarations -------------------------------------------
 
@@ -78,36 +93,52 @@ class NodeContext:
 
     def read(self, var: VarDescriptor, index: int = 0) -> None:
         """Annotate a use of ``var[index]``."""
-        self.translator.read(var, index, site=_caller_site())
+        f = sys._getframe(1)
+        site = self._sites.get((id(f.f_code), f.f_lasti)) or self._resolve(f)
+        self.translator.read(var, index, site=site)
 
     def write(self, var: VarDescriptor, index: int = 0) -> None:
         """Annotate an assignment to ``var[index]``."""
-        self.translator.write(var, index, site=_caller_site())
+        f = sys._getframe(1)
+        site = self._sites.get((id(f.f_code), f.f_lasti)) or self._resolve(f)
+        self.translator.write(var, index, site=site)
 
     def const(self, mem_type: MemType = MemType.INT32) -> None:
         """Annotate an immediate-constant load."""
-        self.translator.const(mem_type, site=_caller_site())
+        f = sys._getframe(1)
+        site = self._sites.get((id(f.f_code), f.f_lasti)) or self._resolve(f)
+        self.translator.const(mem_type, site=site)
 
     def add(self, arith_type: ArithType = ArithType.INT,
             count: int = 1) -> None:
-        self.translator.arith("add", arith_type, count, site=_caller_site())
+        f = sys._getframe(1)
+        site = self._sites.get((id(f.f_code), f.f_lasti)) or self._resolve(f)
+        self.translator.arith("add", arith_type, count, site=site)
 
     def sub(self, arith_type: ArithType = ArithType.INT,
             count: int = 1) -> None:
-        self.translator.arith("sub", arith_type, count, site=_caller_site())
+        f = sys._getframe(1)
+        site = self._sites.get((id(f.f_code), f.f_lasti)) or self._resolve(f)
+        self.translator.arith("sub", arith_type, count, site=site)
 
     def mul(self, arith_type: ArithType = ArithType.INT,
             count: int = 1) -> None:
-        self.translator.arith("mul", arith_type, count, site=_caller_site())
+        f = sys._getframe(1)
+        site = self._sites.get((id(f.f_code), f.f_lasti)) or self._resolve(f)
+        self.translator.arith("mul", arith_type, count, site=site)
 
     def div(self, arith_type: ArithType = ArithType.INT,
             count: int = 1) -> None:
-        self.translator.arith("div", arith_type, count, site=_caller_site())
+        f = sys._getframe(1)
+        site = self._sites.get((id(f.f_code), f.f_lasti)) or self._resolve(f)
+        self.translator.arith("div", arith_type, count, site=site)
 
     def flops(self, n: int, kind: str = "mul",
               arith_type: ArithType = ArithType.DOUBLE) -> None:
         """Annotate ``n`` floating-point operations at one site."""
-        self.translator.arith(kind, arith_type, n, site=_caller_site())
+        f = sys._getframe(1)
+        site = self._sites.get((id(f.f_code), f.f_lasti)) or self._resolve(f)
+        self.translator.arith(kind, arith_type, n, site=site)
 
     def loop(self, iterable: Iterable) -> Iterable:
         """Iterate while annotating the loop back-edge.
@@ -119,12 +150,24 @@ class NodeContext:
             for i in ctx.loop(range(n)):
                 ...
         """
-        site = _caller_site()
-        first = True
-        for item in iterable:
-            if not first:
-                self.translator.branch(site=site)
-            first = False
+        f = sys._getframe(1)
+        site = self._sites.get((id(f.f_code), f.f_lasti)) or self._resolve(f)
+        del f       # the caller's frame holds this generator: no cycle
+        items = iter(iterable)
+        for item in items:
+            yield item
+            break
+        translator = self.translator
+        emit = translator.emit
+        pair = None
+        for item in items:
+            if pair is None:
+                # The first back-edge fixes the site's address, as if
+                # every iteration called translator.branch(site=site).
+                pair = translator.back_edge(site)
+            emit(pair[0])
+            emit(pair[1])
+            translator.ops_emitted += 2
             yield item
 
     def function(self, fn: Callable) -> Callable:

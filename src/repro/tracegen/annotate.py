@@ -36,6 +36,11 @@ from .vdt import TargetABI, VarDescriptor, VariableDescriptorTable, VarKind
 
 __all__ = ["AnnotationTranslator"]
 
+#: Enum member lookups on the class cost several plain attribute reads;
+#: the per-access path uses these module bindings instead.
+_LOAD = OpCode.LOAD
+_STORE = OpCode.STORE
+
 _ARITH_CODES = {
     "add": OpCode.ADD, "sub": OpCode.SUB,
     "mul": OpCode.MUL, "div": OpCode.DIV,
@@ -129,28 +134,34 @@ class AnnotationTranslator:
         """
         if var.in_register:
             return
-        op = self._ifetch_cache.get(site)
-        if op is None:
-            op = Operation(OpCode.IFETCH, 0, self._site_address(site))
-            self._ifetch_cache[site] = op
-        emit = self.emit
-        emit(op)
-        emit(Operation(OpCode.LOAD, int(var.mem_type),
-                       var.element_address(index)))
-        self.ops_emitted += 2
+        if not 0 <= index < var.n_elements:
+            var.element_address(index)           # raises VDTError
+        self.access(site, _LOAD, var.dtype,
+                    var.address + index * var.elem_bytes)
 
     def write(self, var: VarDescriptor, index: int = 0, *, site) -> None:
         """Assign to ``var[index]``: ifetch + store (memory variables)."""
         if var.in_register:
             return
-        op = self._ifetch_cache.get(site)
-        if op is None:
-            op = Operation(OpCode.IFETCH, 0, self._site_address(site))
-            self._ifetch_cache[site] = op
+        if not 0 <= index < var.n_elements:
+            var.element_address(index)           # raises VDTError
+        self.access(site, _STORE, var.dtype,
+                    var.address + index * var.elem_bytes)
+
+    def access(self, site, code: OpCode, dtype: int, address: int) -> None:
+        """Emit ``site``'s instruction fetch, then a ``code`` (LOAD or
+        STORE) of ``dtype`` at the byte ``address``.
+
+        The memory-access primitive under :meth:`read`/:meth:`write`,
+        also used by accesses that bypass the VDT (the VSM runtime's
+        shared regions).
+        """
+        fetch = self._ifetch_cache.get(site)
+        if fetch is None:
+            fetch = self._site_ifetch(site)
         emit = self.emit
-        emit(op)
-        emit(Operation(OpCode.STORE, int(var.mem_type),
-                       var.element_address(index)))
+        emit(fetch)
+        emit(Operation(code, dtype, address))
         self.ops_emitted += 2
 
     def const(self, mem_type: MemType = MemType.INT32, *, site) -> None:
@@ -169,6 +180,8 @@ class AnnotationTranslator:
     def arith(self, kind: str, arith_type: ArithType = ArithType.INT,
               count: int = 1, *, site) -> None:
         """``count`` arithmetic operations of ``kind`` at one site."""
+        if count < 0:
+            raise ValueError(f"arithmetic count must be >= 0, got {count}")
         key = ("a", site, kind, int(arith_type))
         pair = self._pair_cache.get(key)
         if pair is None:
@@ -188,20 +201,26 @@ class AnnotationTranslator:
             emit(o)
         self.ops_emitted += 2 * count
 
+    def back_edge(self, site) -> tuple[Operation, Operation]:
+        """The (ifetch, branch) pair of a loop back-edge at ``site``: a
+        taken branch to the site's own address.  Built on the first
+        call, which fixes the site's address; later calls return the
+        same two operations for re-emission."""
+        key = ("b", site)
+        pair = self._pair_cache.get(key)
+        if pair is None:
+            f = self._site_ifetch(site)
+            pair = (f, Operation(OpCode.BRANCH, 0, f.arg))
+            self._pair_cache[key] = pair
+        return pair
+
     def branch(self, *, site, target_site=None) -> None:
         """A taken branch.  ``target_site`` defaults to the branch's own
         site (a tight loop back-edge, the common case)."""
         if target_site is None:
-            key = ("b", site)
-            pair = self._pair_cache.get(key)
-            if pair is None:
-                f = self._site_ifetch(site)
-                pair = (f, Operation(OpCode.BRANCH, 0, f.arg))
-                self._pair_cache[key] = pair
-            emit = self.emit
-            emit(pair[0])
-            emit(pair[1])
-            self.ops_emitted += 2
+            fetch, op = self.back_edge(site)
+            self._out(fetch)
+            self._out(op)
             return
         self._fetch(site)
         self._out(Operation(OpCode.BRANCH, 0,

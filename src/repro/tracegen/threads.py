@@ -68,6 +68,8 @@ class NodeThread:
         self._cond = threading.Condition()
         self._turn = "main"             # "main" | "thread"
         self.state = "new"              # new|running|suspended|finished|failed
+        # Only ever cleared, never rebound: NodeContext hands the bound
+        # ``buffer.append`` to its translator as the emit sink.
         self.buffer: deque[Operation] = deque()
         self.pending_op: Optional[Operation] = None
         self.pending_payload: Any = None

@@ -64,10 +64,16 @@ class TargetABI:
 
 
 class VarDescriptor:
-    """One VDT entry."""
+    """One VDT entry.
+
+    ``elem_bytes`` (the element width) and ``dtype`` (the ``int`` of
+    ``mem_type``, as carried by an :class:`~repro.operations.Operation`)
+    are fixed at declaration so the translator's per-access path reads
+    plain slots.
+    """
 
     __slots__ = ("name", "kind", "mem_type", "n_elements", "address",
-                 "in_register", "scope")
+                 "in_register", "scope", "elem_bytes", "dtype")
 
     def __init__(self, name: str, kind: VarKind, mem_type: MemType,
                  n_elements: int, address: int, in_register: bool,
@@ -79,17 +85,19 @@ class VarDescriptor:
         self.address = address
         self.in_register = in_register
         self.scope = scope
+        self.elem_bytes = mem_type.nbytes
+        self.dtype = int(mem_type)
 
     @property
     def size_bytes(self) -> int:
-        return self.n_elements * self.mem_type.nbytes
+        return self.n_elements * self.elem_bytes
 
     def element_address(self, index: int = 0) -> int:
         if not 0 <= index < self.n_elements:
             raise VDTError(
                 f"index {index} out of bounds for {self.name!r} "
                 f"[{self.n_elements}]")
-        return self.address + index * self.mem_type.nbytes
+        return self.address + index * self.elem_bytes
 
     def __repr__(self) -> str:
         loc = "reg" if self.in_register else f"{self.address:#x}"

@@ -22,7 +22,7 @@ race-free).
 
 from __future__ import annotations
 
-from ..operations.ops import OpCode, Operation
+from ..operations.ops import OpCode
 from ..operations.optypes import MemType
 
 __all__ = ["SharedRegion", "VSMFault", "VSMRuntimeError"]
@@ -102,6 +102,7 @@ class SharedRegion:
         self.node = ctx.node_id
         self.n_elements = n_elements
         self.mem_type = mem_type
+        self._elem_bytes = mem_type.nbytes
         self.page_bytes = page_bytes
         # Same name -> same base on every node (deterministic layout).
         slot = SharedRegion._region_slot(name)
@@ -132,7 +133,7 @@ class SharedRegion:
             raise VSMRuntimeError(
                 f"{self.name!r}: index {index} out of bounds "
                 f"[0, {self.n_elements})")
-        return self.base_address + index * self.mem_type.nbytes
+        return self.base_address + index * self._elem_bytes
 
     def page_of(self, index: int) -> int:
         return (self.element_address(index) - self.base_address) \
@@ -170,14 +171,10 @@ class SharedRegion:
                 f"{got!r}, needed {required!r}")
 
     def _emit_access(self, addr: int, is_write: bool) -> None:
-        emit = self._thread.emit
-        translator = self._ctx.translator
-        emit(Operation(OpCode.IFETCH, 0,
-                       translator._site_address(("vsm", self.name,
-                                                 is_write))))
-        code = OpCode.STORE if is_write else OpCode.LOAD
-        emit(Operation(code, int(self.mem_type), addr))
-        translator.ops_emitted += 2
+        self._ctx.translator.access(
+            ("vsm", self.name, is_write),
+            OpCode.STORE if is_write else OpCode.LOAD,
+            int(self.mem_type), addr)
 
     def __repr__(self) -> str:
         return (f"<SharedRegion {self.name!r} node={self.node} "

@@ -85,6 +85,13 @@ class TestArithmetic:
         assert sum(1 for op in ops if op.code is OpCode.MUL) == 3
         assert sum(1 for op in ops if op.code is OpCode.IFETCH) == 3
 
+    def test_negative_count_rejected(self):
+        tr, ops = make_translator()
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            tr.arith("mul", ArithType.DOUBLE, -3, site="s")
+        tr.arith("mul", ArithType.DOUBLE, 0, site="s")
+        assert ops == [] and tr.ops_emitted == 0
+
     def test_unknown_kind(self):
         tr, _ = make_translator()
         with pytest.raises(ValueError, match="unknown arithmetic"):
